@@ -39,7 +39,7 @@ fn bench_ablation(c: &mut Criterion) {
     // Branchy mixed graphs are where deferral explodes: walks are only
     // cut at the static |E| cap instead of at the first repeated edge.
     // (At 12+ edges the deferred variant already exceeds the 10^6-state
-    // frontier limit — that cliff is the measurement; see EXPERIMENTS.md.)
+    // frontier limit — that cliff is the measurement.)
     let mixed_query = "MATCH TRAIL (a)-[t:T]->+(b)";
     for edges in [7usize, 8, 9] {
         let g = small_mixed(3, 5, edges);

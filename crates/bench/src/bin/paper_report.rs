@@ -4,7 +4,8 @@
 //!
 //! Run with `cargo run -p gpml-bench --bin paper-report`. The same checks
 //! are enforced as assertions by the integration test suite; this binary
-//! is the human-readable account recorded in EXPERIMENTS.md.
+//! is their human-readable account. The README's "Benches and the paper
+//! report" section lists the EB experiments and their benches.
 
 use gpml_bench::{run_query, run_query_with};
 use gpml_core::binding::BoundValue;
@@ -237,7 +238,7 @@ fn main() {
     );
     println!(
         "    (paper prints path(a1,t1,a3,t2,a2,t3,a4,t4,a6,t5,a3,t7,a5); Figure 1's\n\
-         \x20    edge t6 (a6→a5) makes the 5-hop path strictly shorter — see EXPERIMENTS.md)"
+         \x20    edge t6 (a6→a5) makes the 5-hop path strictly shorter — see tests/paper_section5.rs)"
     );
     let postfilter = run_query(
         &g,
@@ -767,7 +768,10 @@ fn main() {
         );
     }
 
-    println!("\nAll experiments reproduced. See EXPERIMENTS.md for the index.");
+    println!(
+        "\nAll experiments reproduced. See README.md, \"Benches and the paper report\", \
+         for the EB index."
+    );
 }
 
 fn indent(s: &str) -> String {

@@ -41,7 +41,15 @@ pub(crate) fn chunks(items: usize, threads: usize) -> Vec<Range<usize>> {
     if items == 0 {
         return Vec::new();
     }
-    let parts = threads.min(items / MIN_CHUNK).max(1);
+    split(items, threads.min(items / MIN_CHUNK).max(1))
+}
+
+/// Partitions `0..items` into exactly `parts` contiguous ranges of
+/// near-equal size, earlier ranges taking the remainder (some ranges are
+/// empty when `items < parts`). An anchored stage cuts its candidate list
+/// this way, so it yields as many work units as a scanned stage.
+pub(crate) fn split(items: usize, parts: usize) -> Vec<Range<usize>> {
+    assert!(parts > 0, "split into zero parts");
     let base = items / parts;
     let extra = items % parts;
     let mut out = Vec::with_capacity(parts);
@@ -179,6 +187,13 @@ mod tests {
                 assert_eq!(at, items, "chunks must cover 0..{items}");
             }
         }
+    }
+
+    #[test]
+    fn split_yields_exactly_the_requested_parts() {
+        assert_eq!(split(5, 2), vec![0..3, 3..5]);
+        assert_eq!(split(1, 3), vec![0..1, 1..1, 1..1]);
+        assert_eq!(split(0, 2), vec![0..0, 0..0]);
     }
 
     #[test]

@@ -47,13 +47,15 @@
 //! identical to the sequential path (see `PreparedQuery::execute_parallel`
 //! internals and `eval::pool`).
 
+mod anchor;
 pub mod cache;
 pub mod cost;
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
-use property_graph::{GraphStats, PropertyGraph};
+use property_graph::{GraphStats, NodeId, PropertyGraph};
 
 use crate::analysis::{analyze, collect_exists, Analysis, VarClass};
 use crate::ast::{Expr, GraphPattern, PathPattern, PathPatternExpr, Selector};
@@ -64,6 +66,7 @@ use crate::eval::matcher::{self, Matcher, Nfa, PruneMode, SemiJoinFilters};
 use crate::eval::{pool, selector, EvalOptions, ExecProfile, JoinState, MatchMode, StageCounters};
 use crate::normalize::normalize;
 use crate::params::{value_type_name, ParamType, Params};
+use anchor::Anchor;
 
 pub use cache::{CacheStats, PlanLru, SharedPlanLru, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use cost::{CostReport, CostStep, JoinAlgo, SemiJoinDecision};
@@ -469,17 +472,17 @@ impl PreparedQuery {
         &self,
         graph: &PropertyGraph,
         stats: &GraphStats,
-        starts: &[property_graph::NodeId],
         threads: usize,
     ) -> Vec<std::ops::Range<usize>> {
         const HUB_FACTOR: usize = 8;
         let avg_steps = (2 * stats.edge_count).div_ceil(stats.node_count.max(1));
         let hub_threshold = avg_steps.max(1) * HUB_FACTOR;
+        let nodes = graph.node_count();
         if stats.degree_histogram.nodes_at_or_above(hub_threshold) == 0 {
-            return pool::chunks(starts.len(), threads);
+            return pool::chunks(nodes, threads);
         }
-        pool::adaptive_chunks(starts.len(), threads, |i| {
-            graph.steps(starts[i]).len() >= hub_threshold
+        pool::adaptive_chunks(nodes, threads, |i| {
+            graph.steps(NodeId(i as u32)).len() >= hub_threshold
         })
     }
 
@@ -506,6 +509,11 @@ impl PreparedQuery {
     /// loop; failures of stages past an early exit are dropped with their
     /// results.
     ///
+    /// Each stage searches its own start list: the whole node set, cut
+    /// into the [`Self::start_chunks`] partition, or its anchored
+    /// candidates cut into the same number of (possibly empty) contiguous
+    /// ranges, so every stage still contributes `per_stage` units.
+    ///
     /// Semi-join filters reach the pool through per-position slots: after
     /// each merge, the sink publishes the next position's filter map, and
     /// a worker snapshots its position's slot *at claim time*. Units
@@ -527,10 +535,23 @@ impl PreparedQuery {
         use std::sync::{Arc, RwLock};
 
         let stats = graph.stats();
-        let starts: Vec<property_graph::NodeId> = graph.nodes().collect();
-        let chunks = self.start_chunks(graph, stats, &starts, threads);
+        let chunks = self.start_chunks(graph, stats, threads);
         let per_stage = chunks.len();
         let unit_count = order.len() * per_stage;
+        let stage_starts: Vec<_> = order
+            .iter()
+            .map(|&i| {
+                let starts = self.plan.stages[i].starts(graph, params);
+                let ranges = if starts.len() == graph.node_count() {
+                    // Every node (scan, or an anchor admitting all):
+                    // keep the hub-aware partition.
+                    chunks.clone()
+                } else {
+                    pool::split(starts.len(), per_stage)
+                };
+                (starts, ranges)
+            })
+            .collect();
 
         // Stage positions >= this are cancelled (early exit): workers
         // return an empty result instead of searching.
@@ -562,11 +583,12 @@ impl PreparedQuery {
                 let filters = filter_slots[pos].read().expect("filter slot").clone();
                 let counters = profile.and_then(|p| p.stage(idx));
                 let started = counters.map(|_| std::time::Instant::now());
+                let (starts, ranges) = &stage_starts[pos];
                 let out = stage.matches_from(
                     graph,
                     &self.opts,
                     params,
-                    &starts[chunks[u % per_stage].clone()],
+                    &starts[ranges[u % per_stage].clone()],
                     filters.as_deref(),
                     counters,
                 );
@@ -829,6 +851,9 @@ pub(crate) struct PathStage {
     pub(crate) prune: PruneMode,
     /// Named (non-anonymous) variables this stage binds.
     pub(crate) vars: BTreeSet<String>,
+    /// The leading node's equality anchor, if any: the search seeds from
+    /// its candidate nodes instead of every node (see [`anchor`]).
+    anchor: Option<Anchor>,
 }
 
 impl PathStage {
@@ -850,7 +875,22 @@ impl PathStage {
             prog,
             prune,
             vars,
+            anchor: Anchor::of(&expr.pattern),
         })
+    }
+
+    /// The start nodes this stage's search seeds from, in ascending id
+    /// order: the anchor's candidates when the stage is anchored and its
+    /// parameter bound, every node otherwise.
+    pub(crate) fn starts<'g>(
+        &self,
+        graph: &'g PropertyGraph,
+        params: &Params,
+    ) -> Cow<'g, [NodeId]> {
+        self.anchor
+            .as_ref()
+            .and_then(|a| a.starts(graph, params))
+            .unwrap_or_else(|| Cow::Owned(graph.nodes().collect()))
     }
 
     /// Matches this stage against `graph`: raw product-automaton search →
@@ -868,7 +908,7 @@ impl PathStage {
         filters: Option<&SemiJoinFilters>,
         counters: Option<&StageCounters>,
     ) -> Result<Vec<PathBinding>> {
-        let starts: Vec<property_graph::NodeId> = graph.nodes().collect();
+        let starts = self.starts(graph, params);
         let raw = self.matches_from(graph, opts, params, &starts, filters, counters)?;
         self.finish_bindings(graph, opts, raw)
     }
@@ -883,7 +923,7 @@ impl PathStage {
         graph: &PropertyGraph,
         opts: &EvalOptions,
         params: &Params,
-        starts: &[property_graph::NodeId],
+        starts: &[NodeId],
         filters: Option<&SemiJoinFilters>,
         counters: Option<&StageCounters>,
     ) -> Result<Vec<PathBinding>> {
@@ -1061,6 +1101,10 @@ impl fmt::Display for ExecutablePlan {
                 }
             };
             writeln!(f, "    search: {search}")?;
+            match &stage.anchor {
+                Some(a) => writeln!(f, "    starts: {a} (anchored)")?,
+                None => writeln!(f, "    starts: all nodes")?,
+            }
             if !stage.vars.is_empty() {
                 let vars: Vec<&str> = stage.vars.iter().map(String::as_str).collect();
                 writeln!(f, "    binds: {}", vars.join(", "))?;
@@ -1116,7 +1160,7 @@ fn plural(n: usize) -> &'static str {
 mod tests {
     use super::*;
     use crate::ast::*;
-    use property_graph::{Endpoints, NodeId, Value};
+    use property_graph::{Endpoints, Value};
 
     fn node(v: &str) -> PathPattern {
         PathPattern::Node(NodePattern::var(v))
@@ -1686,5 +1730,24 @@ mod tests {
         assert!(text.contains("stage 0"), "{text}");
         assert!(text.contains("on {m}"), "{text}");
         assert!(text.contains("pipeline"), "{text}");
+        assert!(text.contains("    starts: all nodes\n"), "{text}");
+
+        // An equality prefilter on the leading node anchors the stage.
+        let anchored = GraphPattern::single(PathPattern::concat(vec![
+            PathPattern::Node(NodePattern::var("x").with_predicate(Expr::cmp(
+                CmpOp::Eq,
+                Expr::prop("x", "owner"),
+                Expr::Parameter("owner".into()),
+            ))),
+            edge_r("t"),
+            node("y"),
+        ]));
+        let text = prepare(&anchored, &EvalOptions::default())
+            .unwrap()
+            .explain();
+        assert!(
+            text.contains("    starts: x.owner = $owner (anchored)\n"),
+            "{text}"
+        );
     }
 }

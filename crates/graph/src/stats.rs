@@ -19,9 +19,16 @@
 //! re-scanning the whole graph — the difference between O(1)-ish and
 //! O(|N| + |E|) per mutation on a growing graph. Debug builds
 //! cross-check every incremental update against a full recompute.
+//!
+//! The catalog also carries the *node postings* behind anchored starts
+//! ([`GraphStats::nodes_with_value`]): property key → canonical value
+//! hash → ascending node ids. They are computed in the same pass,
+//! maintained by the same add path and dropped with the rest of the
+//! catalog, so they can never be staler than the statistics.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::graph::{EdgeData, NodeData, PropertyGraph, Traversal};
 use crate::ids::NodeId;
@@ -257,6 +264,33 @@ pub struct GraphStats {
     /// a selectivity *hint*, so an astronomically rare collision only
     /// nudges an estimate.
     value_hashes: BTreeMap<String, BTreeSet<u64>>,
+    /// Node postings: property key → [`posting_hash`] of the value →
+    /// the nodes holding it, in ascending id order. Equality-anchored
+    /// searches seed from these instead of scanning every node.
+    node_postings: BTreeMap<String, HashMap<u64, Vec<NodeId>>>,
+}
+
+/// The posting key of a property value: a hash under which every pair of
+/// values that `sql_eq` calls equal collides. Numbers hash by their `f64`
+/// view with `-0.0` folded into `0.0`, so `Int(2)` and `Float(2.0)` share
+/// a posting, as do `Int(0)` and `Float(-0.0)` (and distinct integers
+/// beyond 2^53 that round to the same float — a posting is a superset
+/// filter, never the final word). `Null` and `NaN` equal nothing and get
+/// no key.
+fn posting_hash(v: &Value) -> Option<u64> {
+    // `DefaultHasher::new()` uses fixed keys, so hashes are stable
+    // across the incremental path and the full-recompute oracle.
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    match v {
+        Value::Null => return None,
+        Value::Bool(b) => (0u8, b).hash(&mut h),
+        Value::Int(_) | Value::Float(_) => {
+            let f = v.as_f64().filter(|f| !f.is_nan())?;
+            (1u8, if f == 0.0 { 0.0f64 } else { f }.to_bits()).hash(&mut h);
+        }
+        Value::Str(s) => (2u8, s).hash(&mut h),
+    }
+    Some(h.finish())
 }
 
 impl GraphStats {
@@ -277,6 +311,7 @@ impl GraphStats {
             }
             for (k, v) in &data.properties {
                 stats.record_value(k, v);
+                stats.post_node(n, k, v);
             }
         }
         for e in g.edges() {
@@ -315,9 +350,7 @@ impl GraphStats {
     /// Records one property value observation, keeping the distinct-count
     /// hint in sync with the hash set.
     fn record_value(&mut self, key: &str, v: &Value) {
-        use std::hash::{Hash, Hasher};
-        // `DefaultHasher::new()` uses fixed keys, so hashes are stable
-        // across the incremental path and the full-recompute oracle.
+        // Fixed-key hasher, as in `posting_hash`.
         let mut h = std::collections::hash_map::DefaultHasher::new();
         v.hash(&mut h);
         let set = self.value_hashes.entry(key.to_owned()).or_default();
@@ -326,6 +359,26 @@ impl GraphStats {
                 .distinct_property_values
                 .entry(key.to_owned())
                 .or_insert(0) += 1;
+        }
+    }
+
+    /// Appends node `n` to the posting of `(key, v)`. Nodes are posted in
+    /// id order — the full pass walks them ascending and the add path
+    /// only ever appends the highest id — so postings stay sorted.
+    fn post_node(&mut self, n: NodeId, key: &str, v: &Value) {
+        if let Some(h) = posting_hash(v) {
+            // Look the key up before allocating it: keys are few, nodes many.
+            if !self.node_postings.contains_key(key) {
+                self.node_postings.insert(key.to_owned(), HashMap::new());
+            }
+            let list = self
+                .node_postings
+                .get_mut(key)
+                .expect("just inserted")
+                .entry(h)
+                .or_default();
+            debug_assert!(list.last().is_none_or(|last| *last < n));
+            list.push(n);
         }
     }
 
@@ -417,6 +470,7 @@ impl GraphStats {
     /// and label/property tallies in place. The node has no incident
     /// edges yet, so degrees are untouched.
     pub(crate) fn apply_add_node(&mut self, data: &NodeData) {
+        let id = NodeId(self.node_count as u32);
         self.node_count += 1;
         if !data.labels.is_empty() {
             self.labeled_node_count += 1;
@@ -426,6 +480,7 @@ impl GraphStats {
         }
         for (k, v) in &data.properties {
             self.record_value(k, v);
+            self.post_node(id, k, v);
         }
     }
 
@@ -530,6 +585,31 @@ impl GraphStats {
     /// Distinct values observed for property `key`, if any element has it.
     pub fn distinct_values(&self, key: &str) -> Option<usize> {
         self.distinct_property_values.get(key).copied()
+    }
+
+    /// The nodes whose `key` property *may* be `sql_eq` to `value`, in
+    /// ascending id order: every node whose value compares equal is
+    /// listed, but so may be a few that do not (values are keyed by a
+    /// canonical hash), so callers must still evaluate the predicate.
+    /// `Null` and `NaN`, which equal nothing, look up the empty list.
+    ///
+    /// ```
+    /// use property_graph::{NodeId, PropertyGraph, Value};
+    ///
+    /// let mut g = PropertyGraph::new();
+    /// g.add_node("a", ["N"], [("k", Value::Int(2))]);
+    /// g.add_node("b", ["N"], [("k", Value::str("2"))]);
+    /// g.add_node("c", ["N"], [("k", Value::Float(2.0))]);
+    /// let s = g.stats();
+    /// assert_eq!(s.nodes_with_value("k", &Value::Int(2)), [NodeId(0), NodeId(2)]);
+    /// assert_eq!(s.nodes_with_value("k", &Value::str("2")), [NodeId(1)]);
+    /// assert!(s.nodes_with_value("k", &Value::Null).is_empty());
+    /// assert!(s.nodes_with_value("missing", &Value::Int(2)).is_empty());
+    /// ```
+    pub fn nodes_with_value(&self, key: &str, value: &Value) -> &[NodeId] {
+        posting_hash(value)
+            .and_then(|h| self.node_postings.get(key)?.get(&h))
+            .map_or(&[], Vec::as_slice)
     }
 }
 
@@ -639,6 +719,59 @@ mod tests {
         assert_eq!(s.distinct_values("owner"), Some(2));
         assert_eq!(s.distinct_values("amount"), Some(1));
         assert_eq!(s.distinct_values("missing"), None);
+    }
+
+    #[test]
+    fn postings_key_values_by_sql_equality() {
+        let mut g = PropertyGraph::new();
+        let vals = [
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Float(f64::NAN),
+            Value::Bool(true),
+            Value::str("2"),
+            Value::Null,
+        ];
+        for (i, v) in vals.iter().enumerate() {
+            g.add_node(&format!("n{i}"), ["N"], [("k", v.clone())]);
+        }
+        let ids = |xs: &[u32]| xs.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
+        let s = g.stats();
+        assert_eq!(s.nodes_with_value("k", &Value::Float(2.0)), ids(&[0, 1]));
+        assert_eq!(s.nodes_with_value("k", &Value::Float(0.0)), ids(&[2, 3]));
+        assert_eq!(s.nodes_with_value("k", &Value::Bool(true)), ids(&[5]));
+        assert_eq!(s.nodes_with_value("k", &Value::str("2")), ids(&[6]));
+        assert!(s.nodes_with_value("k", &Value::Float(f64::NAN)).is_empty());
+        assert!(s.nodes_with_value("k", &Value::Null).is_empty());
+        assert!(s.nodes_with_value("k", &Value::Bool(false)).is_empty());
+        // Every listed node really is sql-equal: no false negatives, and
+        // on these values no false positives either.
+        for probe in &vals {
+            let want: Vec<NodeId> = g
+                .nodes()
+                .filter(|&n| g.node(n).property("k").sql_eq(probe) == Some(true))
+                .collect();
+            assert_eq!(s.nodes_with_value("k", probe), want, "{probe:?}");
+        }
+        // The add path appends in id order; the debug-build cross-check
+        // inside `add_node` compares against a full recompute.
+        g.add_node("late", ["N"], [("k", Value::Int(2))]);
+        assert_eq!(
+            g.stats().nodes_with_value("k", &Value::Int(2)),
+            ids(&[0, 1, 8])
+        );
+        g.verify_stats().unwrap();
+        // Edge properties are not posted.
+        let (a, b) = (NodeId(0), NodeId(1));
+        g.add_edge(
+            "e",
+            Endpoints::directed(a, b),
+            ["T"],
+            [("k", Value::Int(9))],
+        );
+        assert!(g.stats().nodes_with_value("k", &Value::Int(9)).is_empty());
     }
 
     #[test]

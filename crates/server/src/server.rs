@@ -848,7 +848,9 @@ pub fn serve(graph: PropertyGraph, config: ServerConfig) -> io::Result<ServerHan
     serve_shared(Arc::new(graph), config)
 }
 
-/// [`serve`] over an already-shared graph.
+/// [`serve`] over an already-shared graph. The server takes the graph
+/// over without a copy when `graph` is its last handle, and clones it
+/// otherwise.
 pub fn serve_shared(graph: Arc<PropertyGraph>, config: ServerConfig) -> io::Result<ServerHandle> {
     let listener =
         TcpListener::bind(
@@ -861,7 +863,10 @@ pub fn serve_shared(graph: Arc<PropertyGraph>, config: ServerConfig) -> io::Resu
     let mut session = Session::with_cache(config.options.clone(), cache.clone());
     // Boot the journal: a data directory recovers snapshot + WAL tail
     // (the passed graph only seeds a brand-new directory); without one
-    // the graph lives in memory and mutations are process-lifetime.
+    // the graph lives in memory and mutations are process-lifetime. The
+    // journal owns its graph: take the caller's over when this is the
+    // last handle (always, via `serve`), copy it only when still shared.
+    let graph = Arc::try_unwrap(graph).unwrap_or_else(|shared| (*shared).clone());
     let journal = match &config.data_dir {
         Some(dir) => {
             let every = if config.snapshot_every_bytes > 0 {
@@ -871,12 +876,12 @@ pub fn serve_shared(graph: Arc<PropertyGraph>, config: ServerConfig) -> io::Resu
             };
             Arc::new(GraphJournal::open(
                 dir,
-                (*graph).clone(),
+                graph,
                 config.fsync_on_commit,
                 every,
             )?)
         }
-        None => Arc::new(GraphJournal::in_memory((*graph).clone())),
+        None => Arc::new(GraphJournal::in_memory(graph)),
     };
     // Register the *recovered* graph (it may be epochs ahead of the
     // seed) and start the session at the journal's epoch so plan-cache

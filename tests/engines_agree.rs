@@ -700,6 +700,426 @@ fn threads_one_is_the_sequential_regression_guard() {
     }
 }
 
+/// The property values anchored-start tests store and probe: the values
+/// `sql_eq` equates across types (`Int 2` / `Float 2.0`, `-0.0` / `0`),
+/// values that equal nothing (`NaN`, `Null`), and other types with the
+/// same spelling (`Str "2"`, `Bool`).
+fn anchor_values() -> Vec<property_graph::Value> {
+    use property_graph::Value;
+    vec![
+        Value::Int(2),
+        Value::Float(2.0),
+        Value::Float(-0.0),
+        Value::Int(0),
+        Value::Float(f64::NAN),
+        Value::Null,
+        Value::Bool(true),
+        Value::Bool(false),
+        Value::str("2"),
+    ]
+}
+
+/// A random graph whose nodes carry a mixed-type `k` drawn from
+/// [`anchor_values`] (a `Null` draw leaves `k` absent) and a small
+/// integer `j`: 64 nodes, so four worker threads cut the start set into
+/// several chunks.
+fn anchor_graph(seed: u64) -> PropertyGraph {
+    use property_graph::{Endpoints, Value};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    let mut rng = StdRng::seed_from_u64(seed);
+    let values = anchor_values();
+    let mut g = PropertyGraph::new();
+    for i in 0..64 {
+        let label = if rng.gen_bool(0.5) { "A" } else { "B" };
+        let k = values[rng.gen_range(0..values.len())].clone();
+        let j = Value::Int(rng.gen_range(0..3));
+        let props = [("k", k), ("j", j)]
+            .into_iter()
+            .filter(|(_, v)| !v.is_null());
+        g.add_node(&format!("n{i}"), [label], props);
+    }
+    for i in 0..96 {
+        let u = property_graph::NodeId(rng.gen_range(0..64));
+        let v = property_graph::NodeId(rng.gen_range(0..64));
+        let ep = if rng.gen_bool(0.7) {
+            Endpoints::directed(u, v)
+        } else {
+            Endpoints::undirected(u, v)
+        };
+        let label = if rng.gen_bool(0.6) { "T" } else { "U" };
+        g.add_edge(&format!("e{i}"), ep, [label], []);
+    }
+    g
+}
+
+/// Stage patterns whose leading node is (or deliberately is not)
+/// anchored, for one probe `value`, each named and flagged with whether
+/// it binds `$p` (to `value`). With `inline`, `$p` is replaced by the
+/// literal — the form the parameterless baseline evaluates.
+fn anchor_patterns(
+    value: &property_graph::Value,
+    inline: bool,
+) -> Vec<(&'static str, GraphPattern, bool)> {
+    let lit = || Expr::Literal(value.clone());
+    let param = || {
+        if inline {
+            lit()
+        } else {
+            Expr::Parameter("p".into())
+        }
+    };
+    let k = |v: &str| Expr::prop(v, "k");
+    let eq = |a: Expr, b: Expr| Expr::cmp(CmpOp::Eq, a, b);
+    let node_where =
+        |v: &str, pred: Expr| PathPattern::Node(NodePattern::var(v).with_predicate(pred));
+    let node = |v: &str| PathPattern::Node(NodePattern::var(v));
+    let edge = |v: &str, d: Direction| PathPattern::Edge(EdgePattern::any(d).with_var(v));
+    let hop = |first: PathPattern, d: Direction| {
+        PathPattern::concat(vec![first, edge("e", d), node("y")])
+    };
+    let single = |p: PathPattern| GraphPattern::single(p);
+    let j_is_one = || eq(Expr::prop("x", "j"), Expr::lit(1i64));
+    vec![
+        (
+            "literal",
+            single(hop(node_where("x", eq(k("x"), lit())), Direction::Right)),
+            false,
+        ),
+        (
+            "literal, reversed",
+            single(hop(node_where("x", eq(lit(), k("x"))), Direction::Left)),
+            false,
+        ),
+        (
+            "parameter",
+            single(hop(node_where("x", eq(k("x"), param())), Direction::Right)),
+            true,
+        ),
+        (
+            "parameter, reversed",
+            single(hop(
+                node_where("x", eq(param(), k("x"))),
+                Direction::Undirected,
+            )),
+            true,
+        ),
+        (
+            "under AND",
+            single(hop(
+                node_where(
+                    "x",
+                    Expr::And(
+                        Box::new(Expr::cmp(CmpOp::Ge, Expr::prop("x", "j"), Expr::lit(1i64))),
+                        Box::new(eq(k("x"), param())),
+                    ),
+                ),
+                Direction::Any,
+            )),
+            true,
+        ),
+        (
+            "under OR",
+            single(hop(
+                node_where(
+                    "x",
+                    Expr::Or(Box::new(eq(k("x"), lit())), Box::new(j_is_one())),
+                ),
+                Direction::Right,
+            )),
+            false,
+        ),
+        (
+            "under NOT",
+            single(hop(
+                node_where("x", Expr::Not(Box::new(eq(k("x"), lit())))),
+                Direction::Right,
+            )),
+            false,
+        ),
+        (
+            "leading quantified",
+            single(PathPattern::concat(vec![
+                PathPattern::Quantified {
+                    inner: Box::new(PathPattern::Paren {
+                        restrictor: None,
+                        inner: Box::new(hop(node_where("x", eq(k("x"), lit())), Direction::Right)),
+                        predicate: None,
+                    }),
+                    quantifier: Quantifier::range(1, Some(2)),
+                },
+                node("z"),
+            ])),
+            false,
+        ),
+        (
+            "leading ?",
+            single(PathPattern::concat(vec![
+                PathPattern::Questioned(Box::new(PathPattern::Paren {
+                    restrictor: None,
+                    inner: Box::new(hop(node_where("x", eq(k("x"), param())), Direction::Right)),
+                    predicate: None,
+                })),
+                node("z"),
+            ])),
+            true,
+        ),
+        (
+            "union, every branch anchored",
+            single(PathPattern::Union(vec![
+                hop(node_where("x", eq(k("x"), lit())), Direction::Right),
+                hop(node_where("x", j_is_one()), Direction::Left),
+            ])),
+            false,
+        ),
+        (
+            "multiset alternation, one branch unanchored",
+            single(PathPattern::Alternation(vec![
+                hop(node_where("x", eq(k("x"), param())), Direction::Right),
+                hop(node("x"), Direction::Left),
+            ])),
+            true,
+        ),
+        (
+            "ANY SHORTEST",
+            GraphPattern {
+                paths: vec![PathPatternExpr {
+                    selector: Some(Selector::AnyShortest),
+                    restrictor: None,
+                    path_var: None,
+                    pattern: PathPattern::concat(vec![
+                        node_where("x", eq(k("x"), param())),
+                        PathPattern::Quantified {
+                            inner: Box::new(edge("e", Direction::Right)),
+                            quantifier: Quantifier::range(1, Some(3)),
+                        },
+                        node("y"),
+                    ]),
+                }],
+                where_clause: None,
+            },
+            true,
+        ),
+        (
+            "two anchored stages joined",
+            GraphPattern {
+                paths: vec![
+                    PathPatternExpr::plain(hop(
+                        node_where("x", eq(k("x"), lit())),
+                        Direction::Right,
+                    )),
+                    PathPatternExpr::plain(PathPattern::concat(vec![
+                        node_where("w", eq(param(), Expr::prop("w", "k"))),
+                        edge("f", Direction::Right),
+                        node("y"),
+                    ])),
+                ],
+                where_clause: None,
+            },
+            true,
+        ),
+    ]
+}
+
+/// Wraps every node prefilter `p` as `NOT NOT p`: the same three-valued
+/// filter at the same estimated selectivity, but no longer a top-level
+/// conjunct, so the stage scans every node instead of anchoring.
+fn without_anchors(gp: &GraphPattern) -> GraphPattern {
+    fn walk(p: &PathPattern) -> PathPattern {
+        match p {
+            PathPattern::Node(n) => {
+                let mut n = n.clone();
+                n.predicate = n
+                    .predicate
+                    .take()
+                    .map(|e| Expr::Not(Box::new(Expr::Not(Box::new(e)))));
+                PathPattern::Node(n)
+            }
+            PathPattern::Edge(_) => p.clone(),
+            PathPattern::Concat(parts) => PathPattern::Concat(parts.iter().map(walk).collect()),
+            PathPattern::Paren {
+                restrictor,
+                inner,
+                predicate,
+            } => PathPattern::Paren {
+                restrictor: *restrictor,
+                inner: Box::new(walk(inner)),
+                predicate: predicate.clone(),
+            },
+            PathPattern::Quantified { inner, quantifier } => PathPattern::Quantified {
+                inner: Box::new(walk(inner)),
+                quantifier: *quantifier,
+            },
+            PathPattern::Questioned(inner) => PathPattern::Questioned(Box::new(walk(inner))),
+            PathPattern::Union(bs) => PathPattern::Union(bs.iter().map(walk).collect()),
+            PathPattern::Alternation(bs) => PathPattern::Alternation(bs.iter().map(walk).collect()),
+        }
+    }
+    GraphPattern {
+        paths: gp
+            .paths
+            .iter()
+            .map(|p| PathPatternExpr {
+                pattern: walk(&p.pattern),
+                ..p.clone()
+            })
+            .collect(),
+        where_clause: gp.where_clause.clone(),
+    }
+}
+
+/// Anchored starts — stages seeded from the node postings instead of
+/// every node — against the §6 baseline (which always scans) and against
+/// the same query with its anchors disabled (bit-for-bit: rows *and*
+/// order), across mixed-type values, literal and `$param` anchors in both
+/// operand orders, anchors under AND and non-anchors under OR/NOT,
+/// leading quantified / `?` / union elements, 1, 2 and 4 threads, and
+/// add / set / delete mutations between rounds of queries (the postings
+/// live in the statistics catalog, maintained on add and rebuilt after
+/// the others).
+#[test]
+fn anchored_starts_agree_with_the_baseline() {
+    use gpml_suite::core::Params;
+    use property_graph::{ElementId, Endpoints, NodeId, Value};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    let values: Vec<Value> = anchor_values();
+    let mut nonempty = 0;
+    for seed in 0..2u64 {
+        let mut g = anchor_graph(seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xA11C);
+        for round in 0..3 {
+            for value in &values {
+                let inlined = anchor_patterns(value, true);
+                for ((what, gp, needs_param), (_, literal_gp, _)) in
+                    anchor_patterns(value, false).into_iter().zip(inlined)
+                {
+                    let params = if needs_param {
+                        Params::new().with("p", value.clone())
+                    } else {
+                        Params::new()
+                    };
+                    let ctx = format!("{what} [{value:?}] round {round} seed {seed}: {gp}");
+                    let want = baseline::evaluate(&g, &literal_gp, &opts())
+                        .unwrap_or_else(|e| panic!("baseline failed on {ctx}: {e}"));
+                    nonempty += usize::from(!want.is_empty());
+                    let scan_gp = without_anchors(&gp);
+                    for threads in [1, 2, 4] {
+                        let o = EvalOptions { threads, ..opts() };
+                        let got = prepare(&gp, &o)
+                            .and_then(|q| q.execute_with(&g, &params))
+                            .unwrap_or_else(|e| panic!("{ctx} (threads {threads}): {e}"));
+                        assert_eq!(
+                            sorted(got.clone()),
+                            sorted(want.clone()),
+                            "anchored run disagrees with the baseline on {ctx} (threads {threads})"
+                        );
+                        let scanned = prepare(&scan_gp, &o)
+                            .and_then(|q| q.execute_with(&g, &params))
+                            .unwrap();
+                        if gp.paths.len() == 1 {
+                            assert_eq!(
+                                got, scanned,
+                                "anchored != scan on {ctx} (threads {threads})"
+                            );
+                        } else {
+                            assert_eq!(sorted(got), sorted(scanned), "{ctx} (threads {threads})");
+                        }
+                    }
+                }
+            }
+            // Mutate between rounds: an add (maintained in place), then a
+            // property write and deletions (which drop the catalog).
+            let n = g.node_count();
+            let fresh = g.add_node(
+                &format!("r{seed}_{round}"),
+                ["A"],
+                [("k", values[rng.gen_range(0..3usize)].clone())],
+            );
+            g.add_edge(
+                &format!("re{seed}_{round}"),
+                Endpoints::directed(fresh, NodeId(rng.gen_range(0..n as u32))),
+                ["T"],
+                [],
+            );
+            g.verify_stats().unwrap();
+            let target = NodeId(rng.gen_range(0..n as u32));
+            g.set_property(
+                ElementId::Node(target),
+                "k",
+                values[rng.gen_range(0..values.len())].clone(),
+            );
+            g.remove_element(ElementId::Edge(property_graph::EdgeId(0)))
+                .unwrap();
+            let lonely = g.add_node(&format!("l{seed}_{round}"), ["B"], [("k", Value::Int(2))]);
+            g.remove_element(ElementId::Node(lonely)).unwrap();
+            g.validate().unwrap();
+        }
+    }
+    assert!(
+        nonempty > 100,
+        "too few non-empty answers ({nonempty}) to compare"
+    );
+}
+
+/// An anchored lookup's work follows its answer, not the graph: a
+/// prepared `(x:Account WHERE x.owner = $owner)-[:isLocatedIn]->(c)`
+/// dispatches the same (small) number of flat-IR instructions on a
+/// 1k-account and a 10k-account network, sequentially and on the
+/// parallel path. A silent fallback to scanning every start node would
+/// dispatch several per node.
+#[test]
+fn anchored_lookup_work_is_independent_of_graph_size() {
+    use gpml_suite::core::eval::ExecProfile;
+    use gpml_suite::core::Params;
+    use gpml_suite::datagen::{transfer_network, TransferNetworkConfig};
+
+    let gp = GraphPattern::single(PathPattern::concat(vec![
+        PathPattern::Node(
+            NodePattern::var("x")
+                .with_label(LabelExpr::label("Account"))
+                .with_predicate(Expr::cmp(
+                    CmpOp::Eq,
+                    Expr::prop("x", "owner"),
+                    Expr::Parameter("owner".into()),
+                )),
+        ),
+        PathPattern::Edge(
+            EdgePattern::any(Direction::Right).with_label(LabelExpr::label("isLocatedIn")),
+        ),
+        PathPattern::Node(NodePattern::var("c")),
+    ]));
+    let instrs = |gp: &GraphPattern, g: &PropertyGraph, threads: usize| {
+        let o = EvalOptions {
+            threads,
+            flat: true,
+            ..opts()
+        };
+        let q = prepare(gp, &o).unwrap();
+        let profile = ExecProfile::new(q.plan().stage_count());
+        let params = Params::new().with("owner", "owner7");
+        let rows = q.execute_with_profile(g, &params, &profile).unwrap();
+        assert_eq!(rows.len(), 1, "one account, one city");
+        profile.totals().3
+    };
+    let network = |accounts: usize| {
+        transfer_network(TransferNetworkConfig {
+            accounts,
+            transfers: accounts,
+            ..TransferNetworkConfig::default()
+        })
+    };
+    let (small, large) = (network(1_000), network(10_000));
+    let base = instrs(&gp, &small, 1);
+    assert!(base < 64, "{base} instructions for a one-row lookup");
+    for threads in [1, 2] {
+        assert_eq!(instrs(&gp, &small, threads), base, "threads {threads}");
+        assert_eq!(instrs(&gp, &large, threads), base, "threads {threads}");
+    }
+    // The same lookup without its anchor scans every start node.
+    assert!(instrs(&without_anchors(&gp), &small, 1) > 1_000);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 

@@ -148,7 +148,7 @@ fn prefilter_on_blocked_account_scott_to_charles() {
     // path(a1,t1,a3,t2,a2,t3,a4,t4,a6,t6,a5). The structural claim — q
     // must be a4 (Jay, the only blocked account) because the predicate is
     // a *prefilter* — holds either way; we assert the graph-correct
-    // shortest path and record the discrepancy in EXPERIMENTS.md.
+    // shortest path, and paper-report prints the discrepancy.
     let rs = run(
         &g,
         "MATCH ALL SHORTEST w = (p:Account WHERE p.owner='Scott')-[:Transfer]->+\
